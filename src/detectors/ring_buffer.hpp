@@ -20,7 +20,7 @@ class RingBuffer {
 
   void push(T value) {
     data_[head_] = value;
-    head_ = (head_ + 1) % capacity_;
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
     if (size_ < capacity_) ++size_;
   }
 
@@ -33,6 +33,15 @@ class RingBuffer {
     // opprentice-hotpath: allow(throw) bounds guard on a programming error; hot callers always pass age < size()
     if (age >= size_) throw std::out_of_range("RingBuffer::back");
     return data_[(head_ + capacity_ - 1 - age) % capacity_];
+  }
+
+  // Element k of the contents, oldest first; requires k < size(). No
+  // bounds check and no division: the incremental detectors read a few
+  // of these per point.
+  const T& oldest(std::size_t k) const {
+    std::size_t i = head_ + (capacity_ - size_) + k;  // < 2 * capacity
+    if (i >= capacity_) i -= capacity_;
+    return data_[i];
   }
 
   // Copies contents oldest-first into `out` (resized to size()).

@@ -1,5 +1,6 @@
 #include "detectors/seasonal_detectors.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -12,6 +13,12 @@ namespace {
 // Floor on the normalization scale so a perfectly flat history does not
 // blow the severity up to infinity.
 constexpr double kScaleEpsilonFraction = 1e-6;
+
+// TSD re-sums its shifted residual sums once the squared mean of the
+// shifted residuals exceeds this multiple of their variance: the variance
+// then loses at most about eps * kShiftDriftRatio of relative precision
+// to cancellation. A fresh shift keeps the ratio below the window size.
+constexpr double kShiftDriftRatio = 1e5;
 
 std::string weeks_name(const char* base, std::size_t win_weeks) {
   std::ostringstream out;
@@ -30,10 +37,14 @@ SeasonalDetectorBase::SeasonalDetectorBase(std::size_t period_points,
       samples_per_slot_(samples_per_slot),
       robust_(robust),
       scale_source_(scale_source),
-      residuals_(scale_window) {
+      residuals_(scale_window),
+      scratch_(samples_per_slot) {
   slots_.reserve(period_);
   for (std::size_t i = 0; i < period_; ++i) {
     slots_.emplace_back(samples_per_slot_);
+  }
+  if (robust_ && scale_source_ == ScaleSource::kRecentResiduals) {
+    sorted_.assign(scale_window, 0.0);
   }
 }
 
@@ -46,17 +57,16 @@ double SeasonalDetectorBase::feed(double value) {
   if (!util::is_missing(value) && history.size() >= 1) {
     history.copy_ordered(scratch_);
     const double center =
-        robust_ ? util::median(scratch_) : util::mean(scratch_);
+        robust_ ? util::median_inplace(scratch_) : util::mean(scratch_);
     if (!util::is_missing(center)) {
       const double residual = value - center;
 
       double scale = std::numeric_limits<double>::quiet_NaN();
       if (scale_source_ == ScaleSource::kSlotHistory) {
-        scale = robust_ ? util::mad(scratch_) : util::stddev(scratch_);
+        scale = robust_ ? util::mad_inplace(scratch_) : util::stddev(scratch_);
       } else if (residuals_.size() >= 16) {
-        residuals_.copy_ordered(scratch_);
         // Scale over |residuals| keeps the estimate one-sided and stable.
-        scale = robust_ ? util::mad(scratch_) : util::stddev(scratch_);
+        scale = recent_residual_scale();
       }
       const double floor_scale =
           std::abs(center) * kScaleEpsilonFraction + 1e-9;
@@ -64,7 +74,7 @@ double SeasonalDetectorBase::feed(double value) {
         severity = std::abs(residual) / std::max(scale, floor_scale);
       }
       if (scale_source_ == ScaleSource::kRecentResiduals) {
-        residuals_.push(residual);
+        push_residual(residual);
       }
     }
   }
@@ -72,10 +82,95 @@ double SeasonalDetectorBase::feed(double value) {
   return sanitize_severity(severity);
 }
 
+double SeasonalDetectorBase::recent_residual_scale() {
+  if (robust_) return util::mad_sorted({sorted_.data(), sorted_size_});
+  if (present_ == 0) return std::numeric_limits<double>::quiet_NaN();
+  const double n = static_cast<double>(present_);
+  double mean = shifted_sum_ / n;
+  double variance = shifted_sum_sq_ / n - mean * mean;
+  if (!std::isfinite(shifted_sum_sq_) ||
+      mean * mean > kShiftDriftRatio * variance) {
+    resum_residuals();
+    mean = shifted_sum_ / n;
+    variance = shifted_sum_sq_ / n - mean * mean;
+  }
+  return std::sqrt(std::max(variance, 0.0));
+}
+
+void SeasonalDetectorBase::push_residual(double residual) {
+  const bool evicts = residuals_.full();
+  const double evicted = evicts ? residuals_.oldest(0) : 0.0;
+  residuals_.push(residual);
+  if (robust_) {
+    if (evicts && !util::is_missing(evicted)) {
+      std::size_t i = static_cast<std::size_t>(
+          std::lower_bound(sorted_.begin(),
+                           sorted_.begin() +
+                               static_cast<std::ptrdiff_t>(sorted_size_),
+                           evicted) -
+          sorted_.begin());
+      --sorted_size_;
+      for (; i < sorted_size_; ++i) sorted_[i] = sorted_[i + 1];
+    }
+    if (!util::is_missing(residual)) {
+      std::size_t i = sorted_size_;
+      for (; i > 0 && sorted_[i - 1] > residual; --i) {
+        sorted_[i] = sorted_[i - 1];
+      }
+      sorted_[i] = residual;
+      ++sorted_size_;
+    }
+    return;
+  }
+  if (present_ == 0 && !util::is_missing(residual)) shift_ = residual;
+  if (evicts && !util::is_missing(evicted)) {
+    const double d = evicted - shift_;
+    shifted_sum_ -= d;
+    shifted_sum_sq_ -= d * d;
+    --present_;
+  }
+  if (!util::is_missing(residual)) {
+    const double d = residual - shift_;
+    shifted_sum_ += d;
+    shifted_sum_sq_ += d * d;
+    ++present_;
+  }
+  if (++since_resum_ >= residuals_.capacity()) resum_residuals();
+}
+
+void SeasonalDetectorBase::resum_residuals() {
+  // Shift by the oldest present residual: then mean^2 <= n * variance
+  // right after the re-sum, far below kShiftDriftRatio.
+  shift_ = 0.0;
+  for (std::size_t i = 0; i < residuals_.size(); ++i) {
+    if (!util::is_missing(residuals_.oldest(i))) {
+      shift_ = residuals_.oldest(i);
+      break;
+    }
+  }
+  shifted_sum_ = 0.0;
+  shifted_sum_sq_ = 0.0;
+  present_ = 0;
+  for (std::size_t i = 0; i < residuals_.size(); ++i) {
+    const double r = residuals_.oldest(i);
+    if (util::is_missing(r)) continue;
+    shifted_sum_ += r - shift_;
+    shifted_sum_sq_ += (r - shift_) * (r - shift_);
+    ++present_;
+  }
+  since_resum_ = 0;
+}
+
 void SeasonalDetectorBase::reset() {
   for (auto& s : slots_) s.clear();
   residuals_.clear();
   index_ = 0;
+  shift_ = 0.0;
+  shifted_sum_ = 0.0;
+  shifted_sum_sq_ = 0.0;
+  present_ = 0;
+  since_resum_ = 0;
+  sorted_size_ = 0;
 }
 
 // ---- TSD ----

@@ -15,6 +15,7 @@
 
 #include "detectors/detector.hpp"
 #include "detectors/ring_buffer.hpp"
+#include "util/hotpath.hpp"
 
 namespace opprentice::detectors {
 
@@ -25,6 +26,14 @@ enum class ScaleSource {
 };
 
 // Common engine: per-slot value history + residual scale tracking.
+//
+// The recent-residual scale is kept incrementally: the TSD stddev from
+// running sums of the residuals shifted by one of them (re-summed exactly
+// once per window, or when the window has drifted far from the shift),
+// the TSD-MAD scale from a sorted copy of the residual ring, whose MAD is
+// read off in O(log n) (util::mad_sorted). Medians and MADs of a slot's
+// history are taken in place on scratch_. Robust scales are bit-identical
+// to util::mad of the same window; tests/reference keeps the original.
 class SeasonalDetectorBase : public Detector {
  public:
   // period_points: seasonal period (week for TSD, day for historical).
@@ -33,10 +42,14 @@ class SeasonalDetectorBase : public Detector {
                        std::size_t scale_window, bool robust,
                        ScaleSource scale_source);
 
-  double feed(double value) override;
+  OPPRENTICE_HOT double feed(double value) override;
   void reset() override;
 
  private:
+  double recent_residual_scale();
+  void push_residual(double residual);
+  void resum_residuals();
+
   std::size_t period_ = 0;
   std::size_t samples_per_slot_ = 0;
   bool robust_ = false;  // median/MAD instead of mean/std
@@ -45,7 +58,18 @@ class SeasonalDetectorBase : public Detector {
   std::vector<RingBuffer<double>> slots_;
   RingBuffer<double> residuals_;  // recent residuals, for the scale
   std::size_t index_ = 0;
-  mutable std::vector<double> scratch_;
+  std::vector<double> scratch_;
+  // kRecentResiduals, !robust_: sums of (residual - shift) and its square
+  // over the present residuals in the ring.
+  double shift_ = 0.0;
+  double shifted_sum_ = 0.0;
+  double shifted_sum_sq_ = 0.0;
+  std::size_t present_ = 0;
+  std::size_t since_resum_ = 0;
+  // kRecentResiduals, robust_: the ring's present residuals, ascending,
+  // in a buffer sized to the ring.
+  std::vector<double> sorted_;
+  std::size_t sorted_size_ = 0;
 };
 
 class TsdDetector final : public SeasonalDetectorBase {

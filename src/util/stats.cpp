@@ -9,6 +9,9 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+// 1.4826 makes MAD a consistent estimator of sigma under Gaussian data.
+constexpr double kMadScale = 1.4826;
+
 std::vector<double> present_values(std::span<const double> xs) {
   std::vector<double> v;
   v.reserve(xs.size());
@@ -16,6 +19,39 @@ std::vector<double> present_values(std::span<const double> xs) {
     if (!is_missing(x)) v.push_back(x);
   }
   return v;
+}
+
+// Moves the present values to the front (order not kept) and returns
+// how many there are.
+std::size_t compact_present(std::span<double> xs) {
+  std::size_t n = 0;
+  for (double x : xs) {
+    if (!is_missing(x)) xs[n++] = x;
+  }
+  return n;
+}
+
+// Position of quantile q among n order statistics, and the interpolation
+// every quantile variant shares: xlo + frac * (xhi - xlo).
+double interpolate(double q, std::size_t n, std::size_t* lo) {
+  const double pos = std::clamp(q, 0.0, 1.0) * static_cast<double>(n - 1);
+  *lo = static_cast<std::size_t>(pos);
+  return pos - static_cast<double>(*lo);
+}
+
+// The quantile of non-empty, NaN-free `v`, which it reorders.
+double select_quantile(std::span<double> v, double q) {
+  std::size_t lo = 0;
+  const double frac = interpolate(q, v.size(), &lo);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(lo),
+                   v.end());
+  const double xlo = v[lo];
+  if (hi == lo) return xlo;
+  const double xhi =
+      *std::min_element(v.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
+                        v.end());
+  return xlo + frac * (xhi - xlo);
 }
 
 }  // namespace
@@ -58,18 +94,7 @@ double stddev(std::span<const double> xs) {
 double quantile(std::span<const double> xs, double q) {
   std::vector<double> v = present_values(xs);
   if (v.empty()) return kNaN;
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(lo),
-                   v.end());
-  const double xlo = v[lo];
-  if (hi == lo) return xlo;
-  const double xhi =
-      *std::min_element(v.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
-                        v.end());
-  return xlo + (pos - static_cast<double>(lo)) * (xhi - xlo);
+  return select_quantile(v, q);
 }
 
 double median(std::span<const double> xs) {
@@ -85,8 +110,89 @@ double mad(std::span<const double> xs) {
     if (!is_missing(x)) dev.push_back(std::abs(x - med));
   }
   const double raw = median(dev);
-  // 1.4826 makes MAD a consistent estimator of sigma under Gaussian data.
-  return is_missing(raw) ? kNaN : 1.4826 * raw;
+  return is_missing(raw) ? kNaN : kMadScale * raw;
+}
+
+double quantile_inplace(std::span<double> xs, double q) {
+  const std::size_t n = compact_present(xs);
+  if (n == 0) return kNaN;
+  return select_quantile(xs.first(n), q);
+}
+
+double median_inplace(std::span<double> xs) {
+  return quantile_inplace(xs, 0.5);
+}
+
+double mad_inplace(std::span<double> xs) {
+  const std::size_t n = compact_present(xs);
+  if (n == 0) return kNaN;
+  const std::span<double> present = xs.first(n);
+  const double med = select_quantile(present, 0.5);
+  if (is_missing(med)) return kNaN;
+  for (double& x : present) x = std::abs(x - med);
+  // Deviations of infinities from an infinite median are NaN; mad() drops
+  // them too.
+  const double raw = median_inplace(present);
+  return is_missing(raw) ? kNaN : kMadScale * raw;
+}
+
+double mad_sorted(std::span<const double> sorted) {
+  const std::size_t n = sorted.size();
+  if (n == 0) return kNaN;
+  std::size_t lo = 0;
+  const double frac = interpolate(0.5, n, &lo);
+  const std::size_t hi = std::min(lo + 1, n - 1);
+  const double med =
+      hi == lo ? sorted[lo] : sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  if (is_missing(med)) return kNaN;
+  if (std::isinf(med)) {
+    // Every deviation from an infinite median is infinite, except those
+    // of the median's own infinity: |inf - inf| is NaN, and mad() drops
+    // it. Of m infinite deviations the median is inf for m == 1 and
+    // inf + frac * (inf - inf) = NaN for m >= 2.
+    const auto same = std::count(sorted.begin(), sorted.end(), med);
+    const std::size_t m = n - static_cast<std::size_t>(same);
+    return m == 1 ? kMadScale * std::numeric_limits<double>::infinity()
+                  : kNaN;
+  }
+  // Run A: values below the median, nearest first; run B: the rest,
+  // nearest first. Both hold non-decreasing deviations.
+  const std::size_t split = static_cast<std::size_t>(
+      std::lower_bound(sorted.begin(), sorted.end(), med) - sorted.begin());
+  const std::size_t a = split;
+  const std::size_t b = n - split;
+  const auto dev_a = [&](std::size_t i) {
+    return std::abs(sorted[split - 1 - i] - med);
+  };
+  const auto dev_b = [&](std::size_t j) {
+    return std::abs(sorted[split + j] - med);
+  };
+  // The lo + 1 smallest deviations are A[0, i) and B[0, take - i) for
+  // the smallest i whose next A entry is not below the last B entry
+  // taken; they hold order statistics lo and lo + 1 at their boundary.
+  const std::size_t take = lo + 1;
+  std::size_t i = take > b ? take - b : 0;
+  std::size_t right = std::min(a, take);
+  while (i < right) {
+    const std::size_t mid = i + (right - i) / 2;
+    if (dev_b(take - mid - 1) > dev_a(mid)) {
+      i = mid + 1;
+    } else {
+      right = mid;
+    }
+  }
+  const std::size_t j = take - i;
+  double xlo = -std::numeric_limits<double>::infinity();
+  if (i > 0) xlo = dev_a(i - 1);
+  if (j > 0) xlo = std::max(xlo, dev_b(j - 1));
+  double raw = xlo;
+  if (hi != lo) {
+    double xhi = std::numeric_limits<double>::infinity();
+    if (i < a) xhi = dev_a(i);
+    if (j < b) xhi = std::min(xhi, dev_b(j));
+    raw = xlo + frac * (xhi - xlo);
+  }
+  return kMadScale * raw;
 }
 
 double min_value(std::span<const double> xs) {

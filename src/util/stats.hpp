@@ -33,6 +33,21 @@ double median(std::span<const double> xs);
 // estimates the standard deviation for Gaussian data.
 double mad(std::span<const double> xs);
 
+// Allocation-free variants for per-point callers. They work on a
+// caller-owned buffer, which they reorder (present values first) and,
+// for mad_inplace, overwrite with absolute deviations. Results are
+// bit-identical to quantile / median / mad on the same values.
+double quantile_inplace(std::span<double> xs, double q);
+double median_inplace(std::span<double> xs);
+double mad_inplace(std::span<double> xs);
+
+// mad() of an ascending, NaN-free span, bit-identical to mad() on the
+// same values, in O(log n) without touching the input: the median's
+// absolute deviations form two sorted runs (left of the median, read
+// backwards, and right of it), so their order statistics come from a
+// binary search over the split.
+double mad_sorted(std::span<const double> sorted);
+
 double min_value(std::span<const double> xs);
 double max_value(std::span<const double> xs);
 

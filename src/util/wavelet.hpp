@@ -1,33 +1,19 @@
-// Haar discrete wavelet transform for the wavelet anomaly detector.
+// Shared vocabulary of the wavelet anomaly detector.
 //
 // The detector (Barford et al., "A signal analysis of network traffic
 // anomalies") splits a window of the signal into low / mid / high frequency
-// bands and measures how much energy the newest point contributes to a band.
+// Haar bands and measures how much the newest point contributes to a band
+// (src/detectors/wavelet_detector.hpp).
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 namespace opprentice::util {
 
-// Full multi-level Haar DWT of a power-of-two-length input.
-// Output layout: [approx(1), detail level 1 (1), detail level 2 (2), ...,
-// detail level L (n/2)] where level L holds the finest details.
-// Throws std::invalid_argument if the size is not a power of two (>= 2).
-std::vector<double> haar_forward(std::span<const double> xs);
-
-// Inverse of haar_forward.
-std::vector<double> haar_inverse(std::span<const double> coeffs);
-
+// With L detail levels, the coarsest third of the levels (plus the
+// approximation) forms the low band, the middle third the mid band, and
+// the finest third the high band.
 enum class FrequencyBand { kLow, kMid, kHigh };
-
-// Reconstructs the signal keeping only the coefficients of one band.
-// With L total detail levels, the coarsest third of the levels (plus the
-// approximation) forms the low band, the middle third the mid band, and the
-// finest third the high band.
-std::vector<double> band_reconstruction(std::span<const double> xs,
-                                        FrequencyBand band);
 
 // Rounds n down to a power of two (>= 1). Used to size detector windows.
 std::size_t floor_pow2(std::size_t n);

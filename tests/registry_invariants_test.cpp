@@ -156,6 +156,48 @@ TEST(RegistryInvariants, LinterSelfTestCatchesPlantedDefects) {
   EXPECT_TRUE(report.ok()) << opprentice::tools::format_report(report, true);
 }
 
+// Known fidelity gap, pinned so it cannot change silently: at 144
+// points/day util::floor_pow2 maps the 3-, 5- and 7-day wavelet windows
+// (432, 720, 1008 points) to 256, 512 and 512, so wavelet(win=5d,*) and
+// wavelet(win=7d,*) emit identical columns and 3 of the 133 features are
+// duplicates. Changing the window semantics would move the AUCPR
+// baselines; see ROADMAP's open fidelity questions.
+TEST(RegistryInvariants, WaveletFiveAndSevenDayWindowsCoincide) {
+  const SeriesContext ctx{.points_per_day = 144, .points_per_week = 1008};
+  const auto wavelets =
+      DetectorRegistry::with_standard_families().instantiate_family("wavelet",
+                                                                    ctx);
+  ASSERT_EQ(wavelets.size(), 9u);
+  std::map<std::string, std::size_t> window_of_day;
+  for (const auto& d : wavelets) {
+    const auto parsed = parse_config_name(d->name());
+    ASSERT_TRUE(parsed.valid) << d->name();
+    window_of_day[parsed.params.at("win")] = d->warmup_points();
+  }
+  EXPECT_EQ(window_of_day, (std::map<std::string, std::size_t>{
+                               {"3d", 256}, {"5d", 512}, {"7d", 512}}));
+
+  opprentice::util::Rng rng(2015);
+  std::vector<double> series(3 * ctx.points_per_week);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    series[i] = 100.0 + 20.0 * std::sin(static_cast<double>(i) / 23.0) +
+                rng.normal(0.0, 3.0);
+  }
+  std::map<std::string, std::vector<double>> columns;
+  for (const auto& d : wavelets) {
+    std::vector<double>& column = columns[d->name()];
+    for (double v : series) column.push_back(d->feed(v));
+  }
+  for (const char* band : {"low", "mid", "high"}) {
+    const std::string suffix = std::string("d,freq=") + band + ")";
+    const auto& five = columns.at("wavelet(win=5" + suffix);
+    const auto& seven = columns.at("wavelet(win=7" + suffix);
+    const auto& three = columns.at("wavelet(win=3" + suffix);
+    EXPECT_EQ(five, seven) << band;
+    EXPECT_NE(three, five) << band;
+  }
+}
+
 TEST(RegistryInvariants, NameParserHandlesGrammar) {
   auto parsed = parse_config_name("ewma(alpha=0.3)");
   ASSERT_TRUE(parsed.valid);

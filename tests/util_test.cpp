@@ -1,23 +1,30 @@
-// Unit tests for src/util: RNG, statistics, matrix/SVD, wavelet, CSV,
-// ASCII rendering.
+// Unit tests for src/util: RNG, statistics, CSV, ASCII rendering; plus
+// the reference matrix, SVD and Haar transform of tests/reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <sstream>
 
+#include "reference/matrix.hpp"
+#include "reference/svd.hpp"
+#include "reference/wavelet.hpp"
 #include "util/ascii_chart.hpp"
 #include "util/csv.hpp"
-#include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/svd.hpp"
 #include "util/wavelet.hpp"
 
 namespace {
 
 using namespace opprentice::util;
+// The matrix, full SVD and Haar transform live on as the detectors'
+// oracles.
+using namespace opprentice::reference;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -182,6 +189,61 @@ TEST(Stats, MadRobustToOutlier) {
   std::vector<double> xs{1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1000.0};
   EXPECT_LT(mad(xs), 0.2);
   EXPECT_GT(stddev(xs), 100.0);  // stddev is not robust
+}
+
+// The allocation-free order statistics must reproduce the allocating
+// ones bit for bit: the robust detectors' outputs are pinned to them.
+TEST(Stats, InPlaceOrderStatisticsBitIdentical) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  Rng rng(31);
+  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 16u, 17u, 144u, 145u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        // Even trials draw from a handful of values: many duplicates.
+        x = trial % 2 == 0 ? std::floor(rng.uniform(0.0, 4.0))
+                           : rng.normal(10.0, 3.0);
+        if (trial % 3 == 0 && rng.uniform() < 0.2) x = kNaN;
+      }
+      for (const double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+        std::vector<double> work = xs;
+        EXPECT_EQ(bits(quantile_inplace(work, q)), bits(quantile(xs, q)))
+            << "n=" << n << " q=" << q;
+      }
+      std::vector<double> work = xs;
+      EXPECT_EQ(bits(median_inplace(work)), bits(median(xs))) << "n=" << n;
+      work = xs;
+      EXPECT_EQ(bits(mad_inplace(work)), bits(mad(xs))) << "n=" << n;
+
+      std::vector<double> sorted;
+      for (double x : xs) {
+        if (!std::isnan(x)) sorted.push_back(x);
+      }
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(bits(mad_sorted(sorted)), bits(mad(xs))) << "n=" << n;
+    }
+  }
+}
+
+TEST(Stats, MadSortedMatchesMadWithInfinities) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> cases = {
+      {1.0, 2.0, inf},         {1.0, inf, inf},      {-inf, 1.0, inf},
+      {-inf, -inf, 1.0},       {inf, inf, inf},      {2.0, inf, inf, inf},
+      {-inf, 0.0, 0.0, 5.0},   {-inf, -inf, inf, inf}};
+  for (const auto& sorted : cases) {
+    EXPECT_EQ(bits(mad_sorted(sorted)), bits(mad(sorted)));
+    std::vector<double> work = sorted;
+    EXPECT_EQ(bits(mad_inplace(work)), bits(mad(sorted)));
+  }
+}
+
+TEST(Stats, InPlaceAllMissingIsNaN) {
+  std::vector<double> xs{kNaN, kNaN, kNaN};
+  EXPECT_TRUE(std::isnan(median_inplace(xs)));
+  EXPECT_TRUE(std::isnan(mad_inplace(xs)));
+  EXPECT_TRUE(std::isnan(mad_sorted({})));
 }
 
 TEST(Stats, MinMaxSkipNaN) {
