@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "datagen/anomaly_injector.hpp"
 #include "datagen/kpi_model.hpp"
@@ -209,6 +210,13 @@ struct PresetExpectation {
   double anomaly_fraction;
   std::size_t weeks;
 };
+
+// gtest shows the parameter in the listed test name. Without a printer it
+// dumps the raw bytes, and `name` is a pointer, so the name changed with
+// every address-space layout.
+void PrintTo(const PresetExpectation& expect, std::ostream* os) {
+  *os << expect.name;
+}
 
 class PresetTable1 : public ::testing::TestWithParam<PresetExpectation> {};
 
