@@ -72,26 +72,34 @@ class FleetSeries {
   friend class FleetEngine;
 
   // Appends one extracted row to the bounded training history.
-  void append_row(const std::vector<double>& features, double value,
-                  std::size_t history_capacity)
-      OPPRENTICE_REQUIRES(mutex_) {
+  void append_row(const std::vector<double>& features,
+                  std::size_t history_capacity) OPPRENTICE_REQUIRES(mutex_) {
+    // A bounded history never holds more than 2x capacity rows (the trim
+    // below), so its buffers grow geometrically up to exactly that and
+    // no further. They are not reserved up front: many series never fill
+    // their bound.
+    const std::size_t max_rows = 2 * history_capacity;
+    const std::size_t rows = labels_.size();
+    if (history_capacity > 0 && rows == labels_.capacity()) {
+      const std::size_t grown =
+          std::min(std::max(2 * rows, kMinRows), max_rows);
+      for (auto& column : columns_) column.reserve(grown);
+      labels_.reserve(grown);
+    }
     for (std::size_t f = 0; f < features.size(); ++f) {
       columns_[f].push_back(features[f]);
     }
-    values_.push_back(value);
     labels_.push_back(0);
     // Amortized trim: let the buffer grow to 2x capacity, then drop the
     // oldest half in one pass. The trim point is a pure function of the
     // point count, so bounded and unbounded histories differ only in
     // which rows a retrain can still see.
-    if (history_capacity > 0 && values_.size() >= 2 * history_capacity) {
-      const std::size_t drop = values_.size() - history_capacity;
+    if (history_capacity > 0 && labels_.size() >= max_rows) {
+      const std::size_t drop = labels_.size() - history_capacity;
       for (auto& column : columns_) {
         column.erase(column.begin(),
                      column.begin() + static_cast<std::ptrdiff_t>(drop));
       }
-      values_.erase(values_.begin(),
-                    values_.begin() + static_cast<std::ptrdiff_t>(drop));
       labels_.erase(labels_.begin(),
                     labels_.begin() + static_cast<std::ptrdiff_t>(drop));
       base_ += drop;
@@ -107,7 +115,7 @@ class FleetSeries {
     const std::size_t warmup = extractor_.max_warmup();
     const std::size_t begin_local = warmup > base_ ? warmup - base_ : 0;
     const std::size_t end_global =
-        std::min(labeled_until_, base_ + values_.size());
+        std::min(labeled_until_, base_ + labels_.size());
     if (end_global <= base_) return;
     const std::size_t end_local = end_global - base_;
     if (begin_local >= end_local) return;
@@ -182,10 +190,13 @@ class FleetSeries {
   // opprentice-locks: level(series_state)=20
   mutable util::Mutex mutex_;
   detectors::StreamingExtractor extractor_ OPPRENTICE_GUARDED_BY(mutex_);
-  // Bounded training history, column-major like ml::Dataset. base_ is the
-  // global point index of local row 0 (rows before it were trimmed).
+  // Smallest buffer a bounded history grows to, in rows.
+  static constexpr std::size_t kMinRows = 16;
+
+  // Bounded training history, column-major like ml::Dataset; every
+  // column holds labels_.size() rows. base_ is the global point index of
+  // local row 0 (rows before it were trimmed).
   std::vector<std::vector<double>> columns_ OPPRENTICE_GUARDED_BY(mutex_);
-  std::vector<double> values_ OPPRENTICE_GUARDED_BY(mutex_);
   std::vector<std::uint8_t> labels_ OPPRENTICE_GUARDED_BY(mutex_);
   std::size_t base_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
   std::size_t labeled_until_ OPPRENTICE_GUARDED_BY(mutex_) = 0;
@@ -253,7 +264,7 @@ FleetDetection FleetEngine::feed(const SeriesHandle& series, double value) {
     return out;
   }
   const std::vector<double> features = state.extractor_.feed(value);
-  state.append_row(features, value, options_.history_capacity);
+  state.append_row(features, options_.history_capacity);
   fleet_counters().points->add();
 
   if (state.forest_.has_value() && state.extractor_.warmed_up()) {

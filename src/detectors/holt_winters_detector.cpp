@@ -13,9 +13,8 @@ HoltWintersDetector::HoltWintersDetector(double alpha, double beta,
     : alpha_(alpha),
       beta_(beta),
       gamma_(gamma),
-      season_length_(ctx.points_per_day) {
-  first_day_.reserve(season_length_);
-}
+      season_length_(ctx.points_per_day),
+      season_(season_length_) {}
 
 std::string HoltWintersDetector::name() const {
   std::ostringstream out;
@@ -30,20 +29,15 @@ double HoltWintersDetector::feed(double value) {
     // Bootstrap: collect one full day, then initialize level to the day
     // mean, trend to zero, and the season to the demeaned day profile.
     if (!util::is_missing(value)) {
-      // opprentice-hotpath: allow(alloc) bootstrap only; capacity reserved in the constructor
-      first_day_.push_back(value);
-    } else if (!first_day_.empty()) {
-      // opprentice-hotpath: allow(alloc) bootstrap only; capacity reserved in the constructor
-      first_day_.push_back(first_day_.back());  // hold last value
+      season_[bootstrapped_++] = value;
+    } else if (bootstrapped_ > 0) {
+      season_[bootstrapped_] = season_[bootstrapped_ - 1];  // hold last value
+      ++bootstrapped_;
     }
-    if (first_day_.size() >= season_length_) {
-      level_ = util::mean(first_day_);
+    if (bootstrapped_ >= season_length_) {
+      level_ = util::mean(season_);
       trend_ = 0.0;
-      // opprentice-hotpath: allow(alloc) one-time season initialization when the bootstrap day completes
-      season_.assign(season_length_, 0.0);
-      for (std::size_t i = 0; i < season_length_; ++i) {
-        season_[i] = first_day_[i] - level_;
-      }
+      for (double& s : season_) s -= level_;
       model_ready_ = true;
     }
     return 0.0;
@@ -72,11 +66,10 @@ double HoltWintersDetector::feed(double value) {
 }
 
 void HoltWintersDetector::reset() {
-  season_.clear();
+  bootstrapped_ = 0;  // season_ is rewritten by the next bootstrap day
   level_ = 0.0;
   trend_ = 0.0;
   model_ready_ = false;
-  first_day_.clear();
   index_ = 0;
 }
 

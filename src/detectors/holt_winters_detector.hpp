@@ -30,14 +30,13 @@ class HoltWintersDetector final : public Detector {
   double gamma_ = 0.0;
   std::size_t season_length_ = 0;
 
-  // Model state.
+  // Model state. Until the model is ready, season_ collects the
+  // bootstrap day: its first bootstrapped_ entries are the day so far.
   std::vector<double> season_;
+  std::size_t bootstrapped_ = 0;
   double level_ = 0.0;
   double trend_ = 0.0;
   bool model_ready_ = false;
-
-  // First-season bootstrap.
-  std::vector<double> first_day_;
   std::size_t index_ = 0;
 };
 

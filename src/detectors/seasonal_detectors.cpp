@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/stats.hpp"
 
@@ -37,11 +39,14 @@ SeasonalDetectorBase::SeasonalDetectorBase(std::size_t period_points,
       samples_per_slot_(samples_per_slot),
       robust_(robust),
       scale_source_(scale_source),
+      slot_values_(period_points * samples_per_slot),
+      slot_rings_(period_points),
       residuals_(scale_window),
       scratch_(samples_per_slot) {
-  slots_.reserve(period_);
-  for (std::size_t i = 0; i < period_; ++i) {
-    slots_.emplace_back(samples_per_slot_);
+  if (samples_per_slot == 0 ||
+      samples_per_slot > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::invalid_argument(
+        "SeasonalDetectorBase: samples_per_slot must be in [1, 65535]");
   }
   if (robust_ && scale_source_ == ScaleSource::kRecentResiduals) {
     sorted_.assign(scale_window, 0.0);
@@ -51,19 +56,29 @@ SeasonalDetectorBase::SeasonalDetectorBase(std::size_t period_points,
 double SeasonalDetectorBase::feed(double value) {
   const std::size_t slot = index_ % period_;
   ++index_;
-  RingBuffer<double>& history = slots_[slot];
+  SlotRing& ring = slot_rings_[slot];
+  double* const history = slot_values_.data() + slot * samples_per_slot_;
 
   double severity = 0.0;
-  if (!util::is_missing(value) && history.size() >= 1) {
-    history.copy_ordered(scratch_);
+  if (!util::is_missing(value) && ring.size >= 1) {
+    // The slot's samples, oldest first, into the front of scratch_.
+    const std::span<double> window(scratch_.data(), ring.size);
+    std::size_t oldest = ring.head + samples_per_slot_ - ring.size;
+    if (oldest >= samples_per_slot_) oldest -= samples_per_slot_;
+    const std::size_t run =
+        std::min<std::size_t>(ring.size, samples_per_slot_ - oldest);
+    std::copy_n(history + oldest, run, window.begin());
+    std::copy_n(history, ring.size - run,
+                window.begin() + static_cast<std::ptrdiff_t>(run));
     const double center =
-        robust_ ? util::median_inplace(scratch_) : util::mean(scratch_);
+        robust_ ? util::median_inplace(window) : util::mean(window);
     if (!util::is_missing(center)) {
       const double residual = value - center;
 
       double scale = std::numeric_limits<double>::quiet_NaN();
       if (scale_source_ == ScaleSource::kSlotHistory) {
-        scale = robust_ ? util::mad_inplace(scratch_) : util::stddev(scratch_);
+        scale = robust_ ? util::mad_inplace(window, center)
+                        : util::stddev(window);
       } else if (residuals_.size() >= 16) {
         // Scale over |residuals| keeps the estimate one-sided and stable.
         scale = recent_residual_scale();
@@ -78,7 +93,13 @@ double SeasonalDetectorBase::feed(double value) {
       }
     }
   }
-  if (!util::is_missing(value)) history.push(value);
+  if (!util::is_missing(value)) {
+    history[ring.head] = value;
+    const std::size_t next = ring.head + std::size_t{1};
+    ring.head =
+        static_cast<std::uint16_t>(next == samples_per_slot_ ? 0 : next);
+    if (ring.size < samples_per_slot_) ++ring.size;
+  }
   return sanitize_severity(severity);
 }
 
@@ -162,7 +183,7 @@ void SeasonalDetectorBase::resum_residuals() {
 }
 
 void SeasonalDetectorBase::reset() {
-  for (auto& s : slots_) s.clear();
+  std::fill(slot_rings_.begin(), slot_rings_.end(), SlotRing{});
   residuals_.clear();
   index_ = 0;
   shift_ = 0.0;

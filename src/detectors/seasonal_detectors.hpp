@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "detectors/detector.hpp"
@@ -34,6 +35,11 @@ enum class ScaleSource {
 // read off in O(log n) (util::mad_sorted). Medians and MADs of a slot's
 // history are taken in place on scratch_. Robust scales are bit-identical
 // to util::mad of the same window; tests/reference keeps the original.
+//
+// The slot history is one flat period x samples_per_slot array: slot s
+// owns the ring [s * samples_per_slot, (s + 1) * samples_per_slot), with
+// its write position and fill in slot_rings_[s]. Slots fill unevenly
+// (missing points push nothing), so each keeps its own.
 class SeasonalDetectorBase : public Detector {
  public:
   // period_points: seasonal period (week for TSD, day for historical).
@@ -55,10 +61,16 @@ class SeasonalDetectorBase : public Detector {
   bool robust_ = false;  // median/MAD instead of mean/std
   ScaleSource scale_source_;
 
-  std::vector<RingBuffer<double>> slots_;
+  struct SlotRing {
+    std::uint16_t head = 0;  // next write position
+    std::uint16_t size = 0;
+  };
+
+  std::vector<double> slot_values_;
+  std::vector<SlotRing> slot_rings_;
   RingBuffer<double> residuals_;  // recent residuals, for the scale
   std::size_t index_ = 0;
-  std::vector<double> scratch_;
+  std::vector<double> scratch_;  // samples_per_slot_ entries
   // kRecentResiduals, !robust_: sums of (residual - shift) and its square
   // over the present residuals in the ring.
   double shift_ = 0.0;

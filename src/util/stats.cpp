@@ -21,13 +21,16 @@ std::vector<double> present_values(std::span<const double> xs) {
   return v;
 }
 
-// Moves the present values to the front (order not kept) and returns
-// how many there are.
+// Moves the present values to the front (order not kept), fills the rest
+// with NaN, and returns how many there are. The buffer stays a
+// permutation of its missing and present values, so compacting it again
+// finds the same ones.
 std::size_t compact_present(std::span<double> xs) {
   std::size_t n = 0;
   for (double x : xs) {
     if (!is_missing(x)) xs[n++] = x;
   }
+  std::fill(xs.begin() + static_cast<std::ptrdiff_t>(n), xs.end(), kNaN);
   return n;
 }
 
@@ -124,12 +127,13 @@ double median_inplace(std::span<double> xs) {
 }
 
 double mad_inplace(std::span<double> xs) {
-  const std::size_t n = compact_present(xs);
-  if (n == 0) return kNaN;
-  const std::span<double> present = xs.first(n);
-  const double med = select_quantile(present, 0.5);
-  if (is_missing(med)) return kNaN;
-  for (double& x : present) x = std::abs(x - med);
+  return mad_inplace(xs, median_inplace(xs));
+}
+
+double mad_inplace(std::span<double> xs, double median) {
+  if (is_missing(median)) return kNaN;
+  const std::span<double> present = xs.first(compact_present(xs));
+  for (double& x : present) x = std::abs(x - median);
   // Deviations of infinities from an infinite median are NaN; mad() drops
   // them too.
   const double raw = median_inplace(present);

@@ -34,12 +34,16 @@ double median(std::span<const double> xs);
 double mad(std::span<const double> xs);
 
 // Allocation-free variants for per-point callers. They work on a
-// caller-owned buffer, which they reorder (present values first) and,
-// for mad_inplace, overwrite with absolute deviations. Results are
-// bit-identical to quantile / median / mad on the same values.
+// caller-owned buffer, which they reorder (present values first, then
+// NaNs) and, for mad_inplace, overwrite with absolute deviations. Results
+// are bit-identical to quantile / median / mad on the same values.
 double quantile_inplace(std::span<double> xs, double q);
 double median_inplace(std::span<double> xs);
 double mad_inplace(std::span<double> xs);
+// mad_inplace for a caller that already has the median of xs's present
+// values (say, from median_inplace on the same buffer): it is used as
+// given, not selected a second time.
+double mad_inplace(std::span<double> xs, double median);
 
 // mad() of an ascending, NaN-free span, bit-identical to mad() on the
 // same values, in O(log n) without touching the input: the median's

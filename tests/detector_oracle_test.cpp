@@ -1,15 +1,16 @@
 // Differential oracle for the incremental detectors: every configuration
-// of the svd, wavelet, tsd, tsd_mad, historical_average and historical_mad
-// families against the per-point recompute it replaced (tests/reference),
-// on every datagen preset and on adversarial inputs.
+// of the svd, wavelet, tsd, tsd_mad, historical_average, historical_mad
+// and holt_winters families against the implementation it replaced
+// (tests/reference), on every datagen preset and on adversarial inputs.
 //
 // Contract:
 //  - svd and tsd match within 1e-9 * max(|reference|, largest |value| in
 //    the detector's window); svd only where sigma1/sigma2 > 1 + 1e-6,
 //    since u1 is not unique below that;
-//  - wavelet, tsd_mad, historical_average and historical_mad are
-//    bit-identical;
-//  - reset() mid-stream behaves exactly like a freshly built detector.
+//  - wavelet, tsd_mad, historical_average, historical_mad and
+//    holt_winters are bit-identical;
+//  - reset() mid-warm-up (mid-bootstrap for holt_winters) and mid-stream
+//    behaves exactly like a freshly built detector.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,11 +39,11 @@ constexpr double kSvdMinSingularRatio = 1.0 + 1e-6;
 
 const char* const kFamilies[] = {"svd",     "wavelet",
                                  "tsd",     "tsd_mad",
-                                 "historical_average", "historical_mad"};
+                                 "historical_average", "historical_mad",
+                                 "holt_winters"};
 
 bool bit_exact(const std::string& family) {
-  return family == "wavelet" || family == "tsd_mad" ||
-         family == "historical_average" || family == "historical_mad";
+  return family != "svd" && family != "tsd";
 }
 
 struct Input {
@@ -105,6 +106,20 @@ std::vector<Input> all_inputs() {
     for (std::size_t i = n / 4; i < n / 2; ++i) xs[i] += 1e4;
     for (std::size_t i = n / 2; i < 3 * n / 4; ++i) xs[i] *= 1e10;
     inputs.push_back({"level_shifts", kTenMinute, xs});
+  }
+  {
+    // A NaN run that starts inside the first day (Holt-Winters holds the
+    // last value through the rest of its bootstrap) and outlasts it.
+    std::vector<double> xs = noisy_daily(n, 500.0, 10.0, 11);
+    std::fill(xs.begin() + 60, xs.begin() + 260, kNaN);
+    inputs.push_back({"nan_in_bootstrap", kTenMinute, xs});
+  }
+  {
+    // A NaN run longer than a day: every historical slot and 300 of the
+    // 1008 TSD slots skip a sample, so slot rings fill unevenly.
+    std::vector<double> xs = noisy_daily(n, 500.0, 10.0, 13);
+    std::fill(xs.begin() + 1200, xs.begin() + 1500, kNaN);
+    inputs.push_back({"nan_over_a_day", kTenMinute, xs});
   }
   return inputs;
 }
@@ -188,15 +203,15 @@ TEST_P(OracleDifferential, EveryConfigurationMatchesReference) {
   }
 }
 
-TEST_P(OracleDifferential, ResetMidStreamEqualsFreshDetector) {
-  const Input& input = inputs()[GetParam()];
-  const std::size_t half = input.values.size() / 2;
+// Feeds values[begin, end) to a second copy of every configuration,
+// resets it, then checks it against a fresh copy over the whole input.
+void expect_reset_equals_fresh(const Input& input, std::size_t begin,
+                               std::size_t end) {
   for (const std::string family : kFamilies) {
     auto fresh = production_family(family, input.ctx);
     auto reused = production_family(family, input.ctx);
     for (std::size_t c = 0; c < fresh.size(); ++c) {
-      // Leave every piece of incremental state mid-flight, then reset.
-      for (std::size_t i = half; i < input.values.size(); ++i) {
+      for (std::size_t i = begin; i < end; ++i) {
         reused[c]->feed(input.values[i]);
       }
       reused[c]->reset();
@@ -211,15 +226,29 @@ TEST_P(OracleDifferential, ResetMidStreamEqualsFreshDetector) {
   }
 }
 
+TEST_P(OracleDifferential, ResetMidStreamEqualsFreshDetector) {
+  // Leave every piece of incremental state mid-flight, then reset.
+  const Input& input = inputs()[GetParam()];
+  expect_reset_equals_fresh(input, input.values.size() / 2,
+                            input.values.size());
+}
+
+TEST_P(OracleDifferential, ResetMidBootstrapEqualsFreshDetector) {
+  // Half a day: Holt-Winters is half-way through its bootstrap day and
+  // every other family is still warming up.
+  const Input& input = inputs()[GetParam()];
+  expect_reset_equals_fresh(input, 0, input.ctx.points_per_day / 2);
+}
+
 std::string input_name(const ::testing::TestParamInfo<std::size_t>& info) {
   return inputs()[info.param].name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Inputs, OracleDifferential,
-                         ::testing::Range<std::size_t>(0, 8), input_name);
+                         ::testing::Range<std::size_t>(0, 10), input_name);
 
 TEST(OracleAdversarial, InputListCoversEveryInstantiation) {
-  EXPECT_EQ(inputs().size(), 8u);
+  EXPECT_EQ(inputs().size(), 10u);
 }
 
 TEST(OracleAdversarial, EqualSingularValuesTakeJacobiFallback) {

@@ -7,6 +7,7 @@
 // ctest label: fleet (CI runs these under TSan alongside `parallel`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -492,6 +493,106 @@ TEST(FleetEngine, OppositeOrderFeedsAcquireLocksOneAtATime) {
   reverse.join();
   EXPECT_EQ(engine.stats(a).points_seen, 128u);
   EXPECT_EQ(engine.stats(b).points_seen, 128u);
+}
+
+// ---- byte-identity golden ------------------------------------------------
+
+void fnv1a(std::uint64_t& hash, const void* data, std::size_t size) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+}
+
+struct GoldenRun {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::size_t retrains = 0;
+  std::size_t classified = 0;
+  // Rows held at each successful retrain (bounded runs only).
+  std::vector<std::size_t> fill_levels;
+};
+
+// Two series on the standard 133-configuration bank: one FNV-1a over
+// every verdict's score and cThld bits and every forest fingerprint, the
+// latter taken each time a retrain succeeds. Labels (every 7th point)
+// arrive in 16-point trailing chunks.
+GoldenRun run_golden(std::size_t history_capacity, std::size_t points) {
+  core::FleetOptions options;
+  options.ctx = detectors::SeriesContext{16, 112};
+  options.retrain_interval = 17;
+  options.history_capacity = history_capacity;
+  options.forest.num_trees = 4;
+  options.forest.seed = 7;
+  options.scheduler_seed = 2026;
+  core::FleetEngine engine(options);
+  const std::vector<core::SeriesHandle> series = {
+      engine.add_series("kpi-golden-a"), engine.add_series("kpi-golden-b")};
+
+  GoldenRun run;
+  std::vector<std::uint8_t> chunk(16);
+  for (std::size_t t = 0; t < points; ++t) {
+    for (std::size_t s = 0; s < series.size(); ++s) {
+      const std::size_t before = engine.stats(series[s]).retrains;
+      const auto verdict =
+          engine.feed(series[s], core::synthetic_fleet_value(s + 5, t, 16));
+      const std::uint64_t score = bits(verdict.score);
+      const std::uint64_t cthld = bits(verdict.cthld);
+      fnv1a(run.hash, &score, sizeof(score));
+      fnv1a(run.hash, &cthld, sizeof(cthld));
+      if (verdict.classified) ++run.classified;
+      if (engine.stats(series[s]).retrains == before) continue;
+      ++run.retrains;
+      const std::string forest = engine.forest_fingerprint(series[s]);
+      fnv1a(run.hash, forest.data(), forest.size());
+      const std::size_t n = t + 1;
+      if (history_capacity > 0 && n >= 2 * history_capacity) {
+        // The amortized trim holds capacity + (n mod capacity) rows once
+        // the first trim has happened at 2 x capacity.
+        run.fill_levels.push_back(history_capacity + n % history_capacity);
+      }
+    }
+    if ((t + 1) % 16 == 0) {
+      const std::size_t begin = t + 1 - 16;
+      for (std::size_t j = 0; j < 16; ++j) {
+        chunk[j] = (begin + j) % 7 == 0 ? 1 : 0;
+      }
+      for (const auto& s : series) engine.ingest_labels(s, chunk, begin);
+    }
+  }
+  return run;
+}
+
+// Pins the served bytes of the standard bank end to end: the per-series
+// state layout (feature history growth and trim, seasonal slot rings,
+// the Holt-Winters bootstrap) may change, its outputs may not. The
+// constants were recorded before those layouts last changed.
+TEST(FleetEngine, StandardBankBytesMatchGolden) {
+  std::size_t warmup = 0;
+  for (const auto& d :
+       detectors::standard_configurations(detectors::SeriesContext{16, 112})) {
+    warmup = std::max(warmup, d->warmup_points());
+  }
+  // Bounded: the trim period (48 rows) is co-prime to the retrain
+  // interval (17), so retrains see every fill level in [48, 96).
+  const std::size_t capacity = 48;
+  const GoldenRun bounded =
+      run_golden(capacity, warmup + 2 * capacity + 52 * 17);
+  std::vector<bool> seen(capacity, false);
+  for (const std::size_t rows : bounded.fill_levels) {
+    ASSERT_GE(rows, capacity);
+    ASSERT_LT(rows, 2 * capacity);
+    seen[rows - capacity] = true;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+            static_cast<std::ptrdiff_t>(capacity));
+  EXPECT_GT(bounded.classified, bounded.fill_levels.size());
+  EXPECT_EQ(bounded.hash, 0xcd3f785231ba1ab6ULL) << std::hex << bounded.hash;
+
+  const GoldenRun unbounded = run_golden(0, warmup + 10 * 17);
+  EXPECT_GE(unbounded.retrains, 10u);
+  EXPECT_GT(unbounded.classified, 0u);
+  EXPECT_EQ(unbounded.hash, 0xdc051c6f215730e1ULL) << std::hex << unbounded.hash;
 }
 
 }  // namespace

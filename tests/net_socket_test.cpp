@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,13 @@ struct EndpointCase {
   const char* name;
   std::string spec;
 };
+
+// gtest appends GetParam() to the listed test name. Without a printer it
+// dumps the raw bytes, and `name` is a pointer, so the name changed with
+// every address-space layout.
+void PrintTo(const EndpointCase& endpoint, std::ostream* os) {
+  *os << endpoint.name;
+}
 
 class SocketLoopback : public ::testing::TestWithParam<EndpointCase> {};
 

@@ -200,6 +200,72 @@ void SeasonalDetector::reset() {
   index_ = 0;
 }
 
+// ---- Holt-Winters ----
+
+HoltWintersDetector::HoltWintersDetector(double alpha, double beta,
+                                         double gamma,
+                                         const SeriesContext& ctx)
+    : alpha_(alpha),
+      beta_(beta),
+      gamma_(gamma),
+      season_length_(ctx.points_per_day) {
+  first_day_.reserve(season_length_);
+}
+
+std::string HoltWintersDetector::name() const {
+  std::ostringstream out;
+  out << "holt_winters(a=" << alpha_ << ",b=" << beta_ << ",g=" << gamma_
+      << ')';
+  return out.str();
+}
+
+double HoltWintersDetector::feed(double value) {
+  ++index_;
+  if (!model_ready_) {
+    if (!util::is_missing(value)) {
+      first_day_.push_back(value);
+    } else if (!first_day_.empty()) {
+      first_day_.push_back(first_day_.back());
+    }
+    if (first_day_.size() >= season_length_) {
+      level_ = util::mean(first_day_);
+      trend_ = 0.0;
+      season_.assign(season_length_, 0.0);
+      for (std::size_t i = 0; i < season_length_; ++i) {
+        season_[i] = first_day_[i] - level_;
+      }
+      model_ready_ = true;
+    }
+    return 0.0;
+  }
+
+  const std::size_t slot = (index_ - 1) % season_length_;
+  const double forecast = level_ + trend_ + season_[slot];
+  if (util::is_missing(value)) {
+    const double prev_level = level_;
+    level_ = forecast - season_[slot];
+    trend_ = beta_ * (level_ - prev_level) + (1.0 - beta_) * trend_;
+    return 0.0;
+  }
+
+  const double severity = std::abs(value - forecast);
+  const double prev_level = level_;
+  level_ = alpha_ * (value - season_[slot]) +
+           (1.0 - alpha_) * (prev_level + trend_);
+  trend_ = beta_ * (level_ - prev_level) + (1.0 - beta_) * trend_;
+  season_[slot] = gamma_ * (value - level_) + (1.0 - gamma_) * season_[slot];
+  return detectors::sanitize_severity(severity);
+}
+
+void HoltWintersDetector::reset() {
+  season_.clear();
+  level_ = 0.0;
+  trend_ = 0.0;
+  model_ready_ = false;
+  first_day_.clear();
+  index_ = 0;
+}
+
 // ---- name -> reference ----
 
 detectors::DetectorPtr make_reference(const std::string& config_name,
@@ -207,11 +273,13 @@ detectors::DetectorPtr make_reference(const std::string& config_name,
   const std::size_t open = config_name.find('(');
   const std::string family = config_name.substr(0, open);
   const std::string params = config_name.substr(open + 1);
-  // Every reference family takes one or two leading integers.
-  const auto integer_after = [&](const std::string& key) {
+  // Every reference family takes one to three leading numbers.
+  const auto number_after = [&](const std::string& key) {
     const std::size_t at = params.find(key + "=");
-    return static_cast<std::size_t>(
-        std::stoul(params.substr(at + key.size() + 1)));
+    return std::stod(params.substr(at + key.size() + 1));
+  };
+  const auto integer_after = [&](const std::string& key) {
+    return static_cast<std::size_t>(number_after(key));
   };
   if (family == "svd") {
     return std::make_unique<SvdDetector>(integer_after("row"),
@@ -225,6 +293,10 @@ detectors::DetectorPtr make_reference(const std::string& config_name,
       band = util::FrequencyBand::kMid;
     }
     return std::make_unique<WaveletDetector>(integer_after("win"), band, ctx);
+  }
+  if (family == "holt_winters") {
+    return std::make_unique<HoltWintersDetector>(
+        number_after("a"), number_after("b"), number_after("g"), ctx);
   }
   const std::pair<const char*, SeasonalKind> kinds[] = {
       {"tsd", SeasonalKind::kTsd},

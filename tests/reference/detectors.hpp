@@ -4,6 +4,8 @@
 // on every point (a Jacobi SVD, a forward + inverse Haar transform, or a
 // copy and two nth_element passes) and is kept only so the production
 // detectors can be tested against it (tests/detector_oracle_test.cpp).
+// Holt-Winters keeps its original layout, a separate bootstrap-day buffer
+// next to the season, as the oracle for the in-place bootstrap.
 #pragma once
 
 #include <cstddef>
@@ -90,9 +92,33 @@ class SeasonalDetector final : public Detector {
   std::vector<double> scratch_;
 };
 
+class HoltWintersDetector final : public Detector {
+ public:
+  HoltWintersDetector(double alpha, double beta, double gamma,
+                      const SeriesContext& ctx);
+
+  std::string name() const override;
+  std::size_t warmup_points() const override { return 2 * season_length_; }
+  double feed(double value) override;
+  void reset() override;
+
+ private:
+  double alpha_ = 0.0;
+  double beta_ = 0.0;
+  double gamma_ = 0.0;
+  std::size_t season_length_ = 0;
+  std::vector<double> season_;
+  double level_ = 0.0;
+  double trend_ = 0.0;
+  bool model_ready_ = false;
+  std::vector<double> first_day_;
+  std::size_t index_ = 0;
+};
+
 // The reference twin of a production configuration name ("svd(row=10,
-// col=3)", "wavelet(win=5d,freq=low)", "tsd_mad(win=2w)", ...), or null
-// for a family without one.
+// col=3)", "wavelet(win=5d,freq=low)", "tsd_mad(win=2w)",
+// "holt_winters(a=0.2,b=0.4,g=0.6)", ...), or null for a family without
+// one.
 detectors::DetectorPtr make_reference(const std::string& config_name,
                                       const SeriesContext& ctx);
 

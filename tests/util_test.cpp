@@ -239,6 +239,37 @@ TEST(Stats, MadSortedMatchesMadWithInfinities) {
   }
 }
 
+// mad_inplace given the median median_inplace just took on the same
+// buffer, as the historical MAD detector calls it, must equal both
+// mad_inplace and mad, including with NaNs, duplicates and infinities.
+TEST(Stats, MadInPlaceGivenMedianBitIdentical) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(37);
+  for (std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 34u, 35u}) {
+    for (int trial = 0; trial < 24; ++trial) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = trial % 2 == 0 ? std::floor(rng.uniform(0.0, 4.0))
+                           : rng.normal(10.0, 3.0);
+        const double u = rng.uniform();
+        if (trial % 3 == 0 && u < 0.2) x = kNaN;
+        if (trial % 4 >= 2 && u > 0.8) x = u > 0.9 ? inf : -inf;
+      }
+      std::vector<double> given = xs;
+      const double med = median_inplace(given);
+      std::vector<double> whole = xs;
+      EXPECT_EQ(bits(mad_inplace(given, med)), bits(mad_inplace(whole)))
+          << "n=" << n << " trial=" << trial;
+      whole = xs;  // the median's buffer need not be the one reordered
+      EXPECT_EQ(bits(mad_inplace(whole, med)), bits(mad(xs)))
+          << "n=" << n << " trial=" << trial;
+    }
+  }
+  std::vector<double> missing{kNaN, kNaN};
+  EXPECT_TRUE(std::isnan(mad_inplace(missing, median_inplace(missing))));
+}
+
 TEST(Stats, InPlaceAllMissingIsNaN) {
   std::vector<double> xs{kNaN, kNaN, kNaN};
   EXPECT_TRUE(std::isnan(median_inplace(xs)));
