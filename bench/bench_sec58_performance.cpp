@@ -19,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "detectors/feature_extractor.hpp"
+#include "ml/binning.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/json_util.hpp"
 #include "util/ascii_chart.hpp"
@@ -90,6 +91,24 @@ BENCHMARK(BM_TrainingPerRound)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// Quantizing one retraining window (the served path's 1,152-row bound)
+// into 133 binned columns: the first step of every forest train. Pinned
+// to one thread, as the served path's retrains are.
+void BM_BinnedDataset(benchmark::State& state) {
+  util::set_global_threads(1);
+  const auto& data = experiment();
+  const ml::Dataset window =
+      data.dataset.slice(data.warmup, data.warmup + 1152);
+  for (auto _ : state) {
+    const ml::BinnedDataset binned(window);
+    benchmark::DoNotOptimize(binned.codes(0).data());
+  }
+  state.SetLabel(std::to_string(window.num_rows()) + " rows x " +
+                 std::to_string(window.num_features()) + " features");
+  util::set_global_threads(0);
+}
+BENCHMARK(BM_BinnedDataset)->Unit(benchmark::kMillisecond);
 
 // Batch extraction of all 133 configurations over the full series — the
 // §5.8 "all the detectors can run in parallel" claim, realized by the
@@ -244,6 +263,7 @@ std::string render_report(const CaptureReporter& reporter) {
   const double training_s =
       reporter.seconds_per_iter("BM_TrainingPerRound/threads:1");
   const double five_fold_s = reporter.seconds_per_iter("BM_FiveFoldCthld");
+  const double binning_s = reporter.seconds_per_iter("BM_BinnedDataset");
   const double interval_s =
       static_cast<double>(experiment().series.interval_seconds());
 
@@ -273,6 +293,8 @@ std::string render_report(const CaptureReporter& reporter) {
   obs::append_json_double(out, training_s > 0.0 ? training_s * 1e3 : -1.0);
   out += ",\n  \"five_fold_cthld_ms\": ";
   obs::append_json_double(out, five_fold_s > 0.0 ? five_fold_s * 1e3 : -1.0);
+  out += ",\n  \"binning_ms_per_round\": ";
+  obs::append_json_double(out, binning_s > 0.0 ? binning_s * 1e3 : -1.0);
   out += ",\n  \"classification_lt_extraction\": ";
   out += classification_lt_extraction ? "true" : "false";
   out += ",\n  \"extraction_lt_interval\": ";

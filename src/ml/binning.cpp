@@ -1,44 +1,36 @@
 #include "ml/binning.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 
+#include "util/thread_pool.hpp"
+
 namespace opprentice::ml {
+namespace {
 
-FeatureBinner FeatureBinner::fit(std::span<const double> column,
-                                 std::size_t max_bins) {
-  FeatureBinner binner;
-  std::vector<double> sorted;
-  sorted.reserve(column.size());
-  for (double v : column) {
-    if (!std::isnan(v)) sorted.push_back(v);
-  }
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  if (sorted.size() <= 1) return binner;  // constant column: single bin
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+constexpr std::size_t kDigits = sizeof(std::uint64_t);
 
-  const std::size_t candidate_edges =
-      std::min(max_bins - 1, sorted.size() - 1);
-  binner.edges_.reserve(candidate_edges);
-  // Edges at evenly spaced quantiles of the distinct values; midpoints
-  // between neighbours make the split threshold unambiguous.
-  for (std::size_t e = 1; e <= candidate_edges; ++e) {
-    const std::size_t idx =
-        e * (sorted.size() - 1) / (candidate_edges + 1) + 1;
-    const double edge = (sorted[idx - 1] + sorted[idx]) / 2.0;
-    if (binner.edges_.empty() || edge > binner.edges_.back()) {
-      binner.edges_.push_back(edge);
-    }
-  }
-  return binner;
+// Unsigned key whose order is the numeric order of non-NaN doubles. Adding
+// +0.0 folds -0 into +0, so equal values get equal keys.
+std::uint64_t order_key(double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value + 0.0);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
 }
 
-std::uint8_t FeatureBinner::bin_of(double value) const {
-  if (std::isnan(value)) return 0;  // missing severities sort lowest
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), value);
-  return static_cast<std::uint8_t>(it - edges_.begin());
+double key_value(std::uint64_t key) {
+  return std::bit_cast<double>((key & kSignBit) != 0 ? key ^ kSignBit
+                                                     : ~key);
 }
+
+std::size_t digit(std::uint64_t key, std::size_t d) {
+  return static_cast<std::size_t>((key >> (8 * d)) & 0xff);
+}
+
+}  // namespace
 
 double FeatureBinner::upper_edge(std::uint8_t code) const {
   if (edges_.empty()) return std::numeric_limits<double>::infinity();
@@ -46,20 +38,87 @@ double FeatureBinner::upper_edge(std::uint8_t code) const {
   return edges_[idx];
 }
 
-BinnedDataset::BinnedDataset(const Dataset& data, std::size_t max_bins)
-    : labels_(data.labels()) {
-  binners_.reserve(data.num_features());
-  codes_.reserve(data.num_features());
-  for (std::size_t f = 0; f < data.num_features(); ++f) {
-    binners_.push_back(FeatureBinner::fit(data.column(f), max_bins));
-    std::vector<std::uint8_t> col(data.num_rows());
-    const auto& binner = binners_.back();
-    const auto column = data.column(f);
-    for (std::size_t i = 0; i < column.size(); ++i) {
-      col[i] = binner.bin_of(column[i]);
-    }
-    codes_.push_back(std::move(col));
+// LSD radix sort of entries_ by key, 8 bits a pass. All eight digit
+// histograms come from one read; a pass whose digit is the same for every
+// key (usually the sign and exponent bytes) is skipped.
+void ColumnBinner::radix_sort() {
+  const std::size_t n = entries_.size();
+  std::array<std::array<std::size_t, 256>, kDigits> counts{};
+  for (const Entry& e : entries_) {
+    for (std::size_t d = 0; d < kDigits; ++d) ++counts[d][digit(e.key, d)];
   }
+  swap_.resize(n);
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    auto& count = counts[d];
+    if (count[digit(entries_.front().key, d)] == n) continue;
+    std::size_t offset = 0;
+    for (auto& c : count) {
+      const std::size_t k = c;
+      c = offset;
+      offset += k;
+    }
+    for (const Entry& e : entries_) swap_[count[digit(e.key, d)]++] = e;
+    entries_.swap(swap_);
+  }
+}
+
+FeatureBinner ColumnBinner::bin(std::span<const double> column,
+                                std::span<std::uint8_t> codes,
+                                std::size_t max_bins) {
+  std::fill(codes.begin(), codes.end(), std::uint8_t{0});
+  entries_.clear();
+  entries_.reserve(column.size());
+  for (std::size_t row = 0; row < column.size(); ++row) {
+    if (!std::isnan(column[row])) {
+      entries_.push_back({order_key(column[row]), row});
+    }
+  }
+  if (entries_.empty()) return FeatureBinner{};
+  radix_sort();
+
+  // The distinct values are the runs of equal keys.
+  distinct_.clear();
+  std::uint64_t previous = ~entries_.front().key;
+  for (const Entry& e : entries_) {
+    if (e.key != previous) distinct_.push_back(key_value(e.key));
+    previous = e.key;
+  }
+  if (distinct_.size() <= 1) return FeatureBinner{};  // single bin
+
+  const std::size_t candidate_edges =
+      std::min(max_bins - 1, distinct_.size() - 1);
+  std::vector<double> edges;
+  edges.reserve(candidate_edges);
+  // Edges at evenly spaced quantiles of the distinct values; midpoints
+  // between neighbours make the split threshold unambiguous.
+  for (std::size_t e = 1; e <= candidate_edges; ++e) {
+    const std::size_t idx =
+        e * (distinct_.size() - 1) / (candidate_edges + 1) + 1;
+    const double edge = (distinct_[idx - 1] + distinct_[idx]) / 2.0;
+    if (edges.empty() || edge > edges.back()) edges.push_back(edge);
+  }
+
+  // Walking the values in ascending order, the smallest bin b with
+  // v <= edges[b] only moves up: one pass assigns every code.
+  std::size_t b = 0;
+  for (const Entry& e : entries_) {
+    const double v = key_value(e.key);
+    while (b < edges.size() && edges[b] < v) ++b;
+    codes[e.row] = static_cast<std::uint8_t>(b);
+  }
+  return FeatureBinner(std::move(edges));
+}
+
+BinnedDataset::BinnedDataset(const Dataset& data, std::size_t max_bins)
+    : binners_(data.num_features()),
+      codes_(data.num_features(),
+             std::vector<std::uint8_t>(data.num_rows())),
+      labels_(data.labels()) {
+  // One task per column, each writing only its own binner and codes.
+  util::parallel_for(data.num_features(), [&](std::size_t f) {
+    ColumnBinner column_binner;
+    binners_[f] = column_binner.bin(data.column(f), codes_[f], max_bins);
+  });
 }
 
 }  // namespace opprentice::ml

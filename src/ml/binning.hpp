@@ -5,10 +5,15 @@
 // (LightGBM-style). Split search then costs O(rows + bins) per feature per
 // node instead of O(rows log rows), which keeps fully-grown forests cheap
 // on the single-core evaluation host.
+//
+// Each column is binned with one sort: an LSD radix sort of (order key,
+// row) pairs yields the column's distinct values, from which the edges
+// are placed, and then every row's code in one linear walk (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ml/dataset.hpp"
@@ -18,14 +23,13 @@ namespace opprentice::ml {
 inline constexpr std::size_t kMaxBins = 255;
 
 // Per-feature quantile bin edges. A value v maps to the smallest bin b
-// with v <= edges[b]; values above the last edge map to the last bin.
+// with v <= edges[b]; values above the last edge map to the last bin and
+// NaN maps to bin 0.
 class FeatureBinner {
  public:
-  // Builds edges from the column's value distribution.
-  static FeatureBinner fit(std::span<const double> column,
-                           std::size_t max_bins = kMaxBins);
-
-  std::uint8_t bin_of(double value) const;
+  FeatureBinner() = default;
+  explicit FeatureBinner(std::vector<double> edges)
+      : edges_(std::move(edges)) {}
 
   // Real-valued threshold separating bin <= code from bin > code; used to
   // translate a bin split back into a raw-value split for prediction.
@@ -35,6 +39,30 @@ class FeatureBinner {
 
  private:
   std::vector<double> edges_;  // ascending, distinct
+};
+
+// Bins columns one at a time. Its sort buffers live across calls, so one
+// ColumnBinner reused over many columns allocates only for the first.
+class ColumnBinner {
+ public:
+  // Places at most `max_bins` quantile bins over the distinct non-NaN
+  // values of `column` and writes every value's code to `codes`
+  // (codes.size() == column.size(); NaN gets code 0).
+  FeatureBinner bin(std::span<const double> column,
+                    std::span<std::uint8_t> codes,
+                    std::size_t max_bins = kMaxBins);
+
+ private:
+  struct Entry {
+    std::uint64_t key;  // order-preserving bits of the value
+    std::size_t row;
+  };
+
+  void radix_sort();
+
+  std::vector<Entry> entries_;
+  std::vector<Entry> swap_;
+  std::vector<double> distinct_;
 };
 
 // A dataset quantized for tree training. Keeps a reference-free copy of

@@ -14,8 +14,11 @@ double feature_mutual_information(std::span<const double> a,
                                   std::size_t bins) {
   const std::size_t n = std::min(a.size(), b.size());
   if (n == 0) return 0.0;
-  const FeatureBinner binner_a = FeatureBinner::fit(a, bins);
-  const FeatureBinner binner_b = FeatureBinner::fit(b, bins);
+  ColumnBinner column_binner;
+  std::vector<std::uint8_t> codes_a(a.size());
+  std::vector<std::uint8_t> codes_b(b.size());
+  const FeatureBinner binner_a = column_binner.bin(a, codes_a, bins);
+  const FeatureBinner binner_b = column_binner.bin(b, codes_b, bins);
   const std::size_t na = binner_a.num_bins();
   const std::size_t nb = binner_b.num_bins();
 
@@ -24,8 +27,8 @@ double feature_mutual_information(std::span<const double> a,
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (std::isnan(a[i]) || std::isnan(b[i])) continue;
-    const std::size_t ba = binner_a.bin_of(a[i]);
-    const std::size_t bb = binner_b.bin_of(b[i]);
+    const std::size_t ba = codes_a[i];
+    const std::size_t bb = codes_b[i];
     joint[ba * nb + bb] += 1.0;
     marg_a[ba] += 1.0;
     marg_b[bb] += 1.0;

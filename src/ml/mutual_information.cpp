@@ -15,14 +15,15 @@ double mutual_information(std::span<const double> feature,
   const std::size_t n = std::min(feature.size(), labels.size());
   if (n == 0) return 0.0;
 
-  const FeatureBinner binner = FeatureBinner::fit(feature, bins);
+  std::vector<std::uint8_t> codes(feature.size());
+  const FeatureBinner binner = ColumnBinner().bin(feature, codes, bins);
   // joint[b][c]: count of (bin b, class c).
   std::vector<std::array<double, 2>> joint(binner.num_bins(), {0.0, 0.0});
   double class_total[2] = {0.0, 0.0};
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (std::isnan(feature[i])) continue;
-    const std::uint8_t b = binner.bin_of(feature[i]);
+    const std::uint8_t b = codes[i];
     const std::size_t c = labels[i] != 0 ? 1 : 0;
     joint[b][c] += 1.0;
     class_total[c] += 1.0;

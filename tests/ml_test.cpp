@@ -2,6 +2,7 @@
 // linear baselines, naive Bayes, mutual information, k-fold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -102,39 +103,53 @@ TEST(Dataset, BadIndicesThrow) {
 
 // ---- binning ----
 
+// A column's bins and the code of each of its values.
+struct BinnedColumn {
+  FeatureBinner binner;
+  std::vector<std::uint8_t> codes;
+};
+
+BinnedColumn bin_column(const std::vector<double>& col) {
+  BinnedColumn out{{}, std::vector<std::uint8_t>(col.size())};
+  out.binner = ColumnBinner().bin(col, out.codes);
+  return out;
+}
+
 TEST(Binning, CodesMonotoneWithValue) {
   std::vector<double> col(1000);
   util::Rng rng(3);
   for (auto& v : col) v = rng.uniform(-5, 5);
-  const FeatureBinner binner = FeatureBinner::fit(col);
-  EXPECT_LE(binner.bin_of(-10.0), binner.bin_of(0.0));
-  EXPECT_LE(binner.bin_of(0.0), binner.bin_of(10.0));
+  col.insert(col.end(), {-10.0, 0.0, 10.0});
+  const auto [binner, codes] = bin_column(col);
+  EXPECT_LE(codes[1000], codes[1001]);  // -10 vs 0
+  EXPECT_LE(codes[1001], codes[1002]);  // 0 vs 10
   for (int i = 0; i < 100; ++i) {
-    const double a = rng.uniform(-5, 5), b = rng.uniform(-5, 5);
-    if (a <= b) {
-      EXPECT_LE(binner.bin_of(a), binner.bin_of(b));
+    const auto a = rng.uniform_int(col.size());
+    const auto b = rng.uniform_int(col.size());
+    if (col[a] <= col[b]) {
+      EXPECT_LE(codes[a], codes[b]);
     }
   }
 }
 
 TEST(Binning, ConstantColumnSingleBin) {
   const std::vector<double> col(100, 3.0);
-  const FeatureBinner binner = FeatureBinner::fit(col);
+  const auto [binner, codes] = bin_column(col);
   EXPECT_EQ(binner.num_bins(), 1u);
-  EXPECT_EQ(binner.bin_of(2.0), binner.bin_of(4.0));
+  EXPECT_EQ(std::count(codes.begin(), codes.end(), codes[0]), 100);
 }
 
 TEST(Binning, FewDistinctValuesGetDistinctBins) {
   const std::vector<double> col{1.0, 2.0, 3.0, 1.0, 2.0, 3.0};
-  const FeatureBinner binner = FeatureBinner::fit(col);
-  EXPECT_NE(binner.bin_of(1.0), binner.bin_of(2.0));
-  EXPECT_NE(binner.bin_of(2.0), binner.bin_of(3.0));
+  const auto [binner, codes] = bin_column(col);
+  EXPECT_NE(codes[0], codes[1]);
+  EXPECT_NE(codes[1], codes[2]);
 }
 
 TEST(Binning, UpperEdgeSeparates) {
   const std::vector<double> col{1.0, 2.0, 3.0, 4.0};
-  const FeatureBinner binner = FeatureBinner::fit(col);
-  const std::uint8_t c2 = binner.bin_of(2.0);
+  const auto [binner, codes] = bin_column(col);
+  const std::uint8_t c2 = codes[1];
   const double edge = binner.upper_edge(c2);
   EXPECT_GE(edge, 2.0);
   EXPECT_LT(edge, 3.0);

@@ -1,9 +1,9 @@
 // Serial ≡ parallel equivalence suite (the determinism contract of
 // DESIGN.md "Parallel execution"): for any thread count, feature
-// extraction, random-forest training/scoring, and per-week cThld
-// selection must produce bit-identical results. Thread counts 1 (exact
-// serial fallback), 2, and 8 (oversubscribed on this host) are swept so
-// scheduling differences get a real chance to surface.
+// extraction, quantile binning, random-forest training/scoring, and
+// per-week cThld selection must produce bit-identical results. Thread
+// counts 1 (exact serial fallback), 2, and 8 (oversubscribed on this host)
+// are swept so scheduling differences get a real chance to surface.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 #include "datagen/kpi_presets.hpp"
 #include "detectors/feature_extractor.hpp"
 #include "detectors/registry.hpp"
+#include "ml/binning.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/serialize.hpp"
 #include "obs/flight_recorder.hpp"
@@ -241,6 +242,35 @@ TEST_F(ForestEquivalenceTest, TrainedForestAndPredictionsBitIdentical) {
         << "threads=" << kThreadSweep[r];
     ASSERT_EQ(runs[r].scores, runs[0].scores)
         << "threads=" << kThreadSweep[r];
+  }
+}
+
+TEST_F(ForestEquivalenceTest, BinnedDatasetEdgesAndCodesBitIdentical) {
+  // BinnedDataset bins one column per task; the whole dataset, warm-up
+  // rows included.
+  const ml::Dataset& data = data_->dataset;
+  struct Binned {
+    std::vector<std::uint64_t> edges;  // per feature: bin count, then edges
+    std::vector<std::vector<std::uint8_t>> codes;
+  };
+  const auto runs = sweep([&] {
+    const ml::BinnedDataset binned(data);
+    Binned out;
+    for (std::size_t f = 0; f < binned.num_features(); ++f) {
+      const ml::FeatureBinner& binner = binned.binner(f);
+      out.edges.push_back(binner.num_bins());
+      for (std::size_t c = 0; c + 1 < binner.num_bins(); ++c) {
+        out.edges.push_back(
+            bits(binner.upper_edge(static_cast<std::uint8_t>(c))));
+      }
+      out.codes.push_back(binned.codes(f));
+    }
+    return out;
+  });
+  ASSERT_EQ(runs[0].codes.size(), data.num_features());
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].edges, runs[0].edges) << "threads=" << kThreadSweep[r];
+    ASSERT_EQ(runs[r].codes, runs[0].codes) << "threads=" << kThreadSweep[r];
   }
 }
 
