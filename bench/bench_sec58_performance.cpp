@@ -12,6 +12,10 @@
 // that ordering, so CI can track the perf trajectory.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -20,9 +24,11 @@
 #include "bench_common.hpp"
 #include "detectors/feature_extractor.hpp"
 #include "ml/binning.hpp"
+#include "ml/decision_tree.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/json_util.hpp"
 #include "util/ascii_chart.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace opprentice;
@@ -110,6 +116,46 @@ void BM_BinnedDataset(benchmark::State& state) {
 }
 BENCHMARK(BM_BinnedDataset)->Unit(benchmark::kMillisecond);
 
+// Growing the trees of one served-path retrain (16, `serve`'s default,
+// with the forest's default mtry, seeds and bootstrap draws) on the same
+// window, already binned: the rest of a train after binning. Pinned to
+// one thread.
+void BM_ForestGrowth(benchmark::State& state) {
+  util::set_global_threads(1);
+  const auto& data = experiment();
+  const ml::Dataset window =
+      data.dataset.slice(data.warmup, data.warmup + 1152);
+  const ml::BinnedDataset binned(window);
+  constexpr std::size_t kTrees = 16;
+  const auto mtry = static_cast<std::size_t>(
+      std::sqrt(static_cast<double>(window.num_features())));
+  util::Rng rng(42);
+  std::vector<ml::TreeOptions> tree_options(kTrees);
+  std::vector<std::vector<std::uint32_t>> counts(kTrees);
+  for (std::size_t t = 0; t < kTrees; ++t) {
+    tree_options[t].mtry = mtry;
+    tree_options[t].seed = rng.next_u64();
+    counts[t].assign(window.num_rows(), 0);
+    for (std::size_t s = 0; s < window.num_rows(); ++s) {
+      ++counts[t][rng.uniform_int(window.num_rows())];
+    }
+  }
+  for (auto _ : state) {
+    std::size_t nodes = 0;
+    for (std::size_t t = 0; t < kTrees; ++t) {
+      ml::DecisionTree tree(tree_options[t]);
+      tree.train_binned(binned, counts[t]);
+      nodes += tree.node_count();
+    }
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.SetLabel(std::to_string(kTrees) + " trees, " +
+                 std::to_string(window.num_rows()) + " rows x " +
+                 std::to_string(window.num_features()) + " features");
+  util::set_global_threads(0);
+}
+BENCHMARK(BM_ForestGrowth)->Unit(benchmark::kMillisecond);
+
 // Batch extraction of all 133 configurations over the full series — the
 // §5.8 "all the detectors can run in parallel" claim, realized by the
 // pool (one task per configuration).
@@ -185,10 +231,31 @@ const int kFamilyBenchmarks = [] {
   return 0;
 }();
 
+// Whether the console table is coloured, as --benchmark_color sets it for
+// benchmark's own reporter: "auto" (the default) colours a terminal only.
+// Read before benchmark::Initialize, which consumes the flag.
+bool console_color(int argc, char** argv) {
+  std::string value = "auto";
+  const std::string flag = "--benchmark_color=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.compare(0, flag.size(), flag) == 0) value = arg.substr(flag.size());
+  }
+  for (char& c : value) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  if (value == "auto") return isatty(fileno(stdout)) != 0;
+  return value == "1" || value == "t" || value == "true" || value == "y" ||
+         value == "yes" || value == "on";
+}
+
 // Keeps console output and captures per-iteration runs for the --json
 // report.
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
+  explicit CaptureReporter(bool color)
+      : benchmark::ConsoleReporter(color ? OO_ColorTabular : OO_Tabular) {}
+
   void ReportRuns(const std::vector<Run>& report) override {
     // Keep per-iteration runs only (aggregates reappear under
     // --benchmark_repetitions); erroneous runs report zero time and are
@@ -264,6 +331,7 @@ std::string render_report(const CaptureReporter& reporter) {
       reporter.seconds_per_iter("BM_TrainingPerRound/threads:1");
   const double five_fold_s = reporter.seconds_per_iter("BM_FiveFoldCthld");
   const double binning_s = reporter.seconds_per_iter("BM_BinnedDataset");
+  const double growth_s = reporter.seconds_per_iter("BM_ForestGrowth");
   const double interval_s =
       static_cast<double>(experiment().series.interval_seconds());
 
@@ -295,6 +363,8 @@ std::string render_report(const CaptureReporter& reporter) {
   obs::append_json_double(out, five_fold_s > 0.0 ? five_fold_s * 1e3 : -1.0);
   out += ",\n  \"binning_ms_per_round\": ";
   obs::append_json_double(out, binning_s > 0.0 ? binning_s * 1e3 : -1.0);
+  out += ",\n  \"tree_growth_ms_per_round\": ";
+  obs::append_json_double(out, growth_s > 0.0 ? growth_s * 1e3 : -1.0);
   out += ",\n  \"classification_lt_extraction\": ";
   out += classification_lt_extraction ? "true" : "false";
   out += ",\n  \"extraction_lt_interval\": ";
@@ -360,10 +430,10 @@ std::string render_report(const CaptureReporter& reporter) {
 
 int main(int argc, char** argv) {
   bench::Session session(argc, argv);
+  CaptureReporter reporter(console_color(argc, argv));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
 
-  CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 

@@ -120,18 +120,16 @@ class FleetSeries {
     const std::size_t end_local = end_global - base_;
     if (begin_local >= end_local) return;
 
-    std::vector<std::vector<double>> train_columns(columns_.size());
-    for (std::size_t f = 0; f < columns_.size(); ++f) {
-      train_columns[f].assign(
-          columns_[f].begin() + static_cast<std::ptrdiff_t>(begin_local),
-          columns_[f].begin() + static_cast<std::ptrdiff_t>(end_local));
+    // The window is read in place: views into the held columns, no copy.
+    std::vector<std::span<const double>> window_columns =
+        ml::column_views(columns_, begin_local, end_local);
+    const std::span<const std::uint8_t> window_labels =
+        std::span<const std::uint8_t>(labels_).subspan(
+            begin_local, end_local - begin_local);
+    if (std::all_of(window_labels.begin(), window_labels.end(),
+                    [](std::uint8_t y) { return y == 0; })) {
+      return;
     }
-    std::vector<std::uint8_t> train_labels(
-        labels_.begin() + static_cast<std::ptrdiff_t>(begin_local),
-        labels_.begin() + static_cast<std::ptrdiff_t>(end_local));
-    ml::Dataset train(extractor_.feature_names(), std::move(train_columns),
-                      std::move(train_labels));
-    if (train.positives() == 0) return;
 
     const std::uint64_t key =
         util::fault_key(salt_, extractor_.points_seen());
@@ -140,7 +138,7 @@ class FleetSeries {
         throw util::InjectedFault("injected forest.train");
       }
       ml::RandomForest forest(options.forest);
-      forest.train(train);
+      forest.train_columns(window_columns, window_labels);
       forest_ = std::move(forest);
       ++retrains_;
       consecutive_train_failures_ = 0;
@@ -148,11 +146,12 @@ class FleetSeries {
 
       // Best cThld on the most recent labeled window feeds the EWMA
       // predictor (§4.5.2) — the per-series cThld history.
-      const std::size_t rows = train.num_rows();
+      const std::size_t rows = window_labels.size();
       const std::size_t window = std::min(rows, interval);
-      const ml::Dataset recent = train.slice(rows - window, rows);
-      const std::vector<double> scores = forest_->score_all(recent);
-      const eval::PrCurve curve(scores, recent.labels());
+      for (auto& column : window_columns) column = column.last(window);
+      const std::vector<double> scores =
+          forest_->score_columns(window_columns, window);
+      const eval::PrCurve curve(scores, window_labels.last(window));
       const eval::ThresholdChoice best = eval::pick_threshold(
           curve, eval::ThresholdMethod::kPcScore, options.preference);
       if (cthld_.initialized()) {

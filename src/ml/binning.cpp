@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "util/thread_pool.hpp"
 
@@ -65,12 +66,16 @@ void ColumnBinner::radix_sort() {
 FeatureBinner ColumnBinner::bin(std::span<const double> column,
                                 std::span<std::uint8_t> codes,
                                 std::size_t max_bins) {
+  if (column.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("ColumnBinner::bin: more than 2^32 rows");
+  }
   std::fill(codes.begin(), codes.end(), std::uint8_t{0});
   entries_.clear();
   entries_.reserve(column.size());
   for (std::size_t row = 0; row < column.size(); ++row) {
     if (!std::isnan(column[row])) {
-      entries_.push_back({order_key(column[row]), row});
+      entries_.push_back(
+          {order_key(column[row]), static_cast<std::uint32_t>(row)});
     }
   }
   if (entries_.empty()) return FeatureBinner{};
@@ -110,14 +115,33 @@ FeatureBinner ColumnBinner::bin(std::span<const double> column,
 }
 
 BinnedDataset::BinnedDataset(const Dataset& data, std::size_t max_bins)
-    : binners_(data.num_features()),
-      codes_(data.num_features(),
-             std::vector<std::uint8_t>(data.num_rows())),
-      labels_(data.labels()) {
-  // One task per column, each writing only its own binner and codes.
-  util::parallel_for(data.num_features(), [&](std::size_t f) {
+    : BinnedDataset(column_views(data.columns(), 0, data.num_rows()),
+                    data.labels(), max_bins) {}
+
+BinnedDataset::BinnedDataset(ColumnSpans columns,
+                             std::span<const std::uint8_t> labels,
+                             std::size_t max_bins)
+    : binners_(columns.size()),
+      codes_(columns.size(), std::vector<std::uint8_t>(labels.size())),
+      labels_(labels.begin(), labels.end()) {
+  for (const auto& column : columns) {
+    if (column.size() != labels.size()) {
+      throw std::invalid_argument("BinnedDataset: column/labels size mismatch");
+    }
+  }
+  // A block of columns per task, binned with one ColumnBinner so its sort
+  // buffers are allocated once per block; each column writes only its own
+  // binner and codes.
+  constexpr std::size_t kColumnsPerTask = 8;
+  const std::size_t tasks =
+      (columns.size() + kColumnsPerTask - 1) / kColumnsPerTask;
+  util::parallel_for(tasks, [&](std::size_t task) {
     ColumnBinner column_binner;
-    binners_[f] = column_binner.bin(data.column(f), codes_[f], max_bins);
+    const std::size_t end =
+        std::min(columns.size(), (task + 1) * kColumnsPerTask);
+    for (std::size_t f = task * kColumnsPerTask; f < end; ++f) {
+      binners_[f] = column_binner.bin(columns[f], codes_[f], max_bins);
+    }
   });
 }
 

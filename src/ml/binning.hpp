@@ -55,7 +55,7 @@ class ColumnBinner {
  private:
   struct Entry {
     std::uint64_t key;  // order-preserving bits of the value
-    std::size_t row;
+    std::uint32_t row;  // a column holds fewer than 2^32 rows
   };
 
   void radix_sort();
@@ -71,6 +71,10 @@ class BinnedDataset {
  public:
   explicit BinnedDataset(const Dataset& data,
                          std::size_t max_bins = kMaxBins);
+  // Bins columns held elsewhere (every column labels.size() long), the
+  // same as a Dataset holding those values.
+  BinnedDataset(ColumnSpans columns, std::span<const std::uint8_t> labels,
+                std::size_t max_bins = kMaxBins);
 
   std::size_t num_rows() const { return labels_.size(); }
   std::size_t num_features() const { return codes_.size(); }

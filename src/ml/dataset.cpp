@@ -4,6 +4,20 @@
 
 namespace opprentice::ml {
 
+std::vector<std::span<const double>> column_views(
+    const std::vector<std::vector<double>>& columns, std::size_t begin,
+    std::size_t end) {
+  std::vector<std::span<const double>> views;
+  views.reserve(columns.size());
+  for (const auto& column : columns) {
+    if (begin > end || end > column.size()) {
+      throw std::out_of_range("column_views: bad range");
+    }
+    views.push_back(std::span<const double>(column).subspan(begin, end - begin));
+  }
+  return views;
+}
+
 Dataset::Dataset(std::vector<std::string> feature_names,
                  std::vector<std::vector<double>> columns,
                  std::vector<std::uint8_t> labels)

@@ -11,6 +11,16 @@
 
 namespace opprentice::ml {
 
+// Column-major rows held elsewhere: feature f of row i is columns[f][i].
+// Training and batch scoring read a Dataset's columns, or a window of
+// columns kept by a caller, through this view without copying them.
+using ColumnSpans = std::span<const std::span<const double>>;
+
+// Rows [begin, end) of every column, as views into `columns`.
+std::vector<std::span<const double>> column_views(
+    const std::vector<std::vector<double>>& columns, std::size_t begin,
+    std::size_t end);
+
 class Dataset {
  public:
   Dataset() = default;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,15 +41,21 @@ class DecisionTree final : public BinaryClassifier {
   // Bins the dataset internally and grows the tree on all rows.
   void train(const Dataset& data) override;
 
-  // Grows the tree on the given rows of an already-binned dataset
-  // (the random forest trains its trees through this entry point).
+  // Grows the tree on a weighted sample of an already-binned dataset:
+  // row r counts multiplicity[r] times, as a bootstrap that drew it that
+  // often (the random forest trains its trees through this entry point).
+  // multiplicity.size() == data.num_rows(); the total must be positive
+  // and below 2^32.
   void train_binned(const BinnedDataset& data,
-                    std::vector<std::size_t> rows);
+                    std::span<const std::uint32_t> multiplicity);
 
   bool is_trained() const override { return !nodes_.empty(); }
 
   // Leaf anomaly fraction of the feature vector.
   double score(std::span<const double> features) const override;
+
+  // score() of row `row` of column-major `columns`, read in place.
+  double score_row(ColumnSpans columns, std::size_t row) const;
 
   // Majority-class vote (the forest aggregates these).
   bool vote(std::span<const double> features) const {

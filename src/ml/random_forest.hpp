@@ -34,6 +34,11 @@ class RandomForest final : public BinaryClassifier {
   std::string name() const override { return "random_forest"; }
 
   void train(const Dataset& data) override;
+  // Trains on columns held elsewhere (every column labels.size() long),
+  // without copying them; the same forest train() grows from a Dataset
+  // holding those values.
+  void train_columns(ColumnSpans columns,
+                     std::span<const std::uint8_t> labels);
   bool is_trained() const override { return !trees_.empty(); }
 
   // Fraction of trees voting anomaly, in [0, 1].
@@ -43,6 +48,10 @@ class RandomForest final : public BinaryClassifier {
   // reduce per row in fixed tree order; results match serial score()
   // bit-for-bit at any thread count.
   std::vector<double> score_all(const Dataset& data) const override;
+  // score_all over `num_rows` rows of columns held elsewhere, read in
+  // place (no per-row copy).
+  std::vector<double> score_columns(ColumnSpans columns,
+                                    std::size_t num_rows) const;
 
   // score >= cthld; 0.5 is the default majority vote.
   OPPRENTICE_HOT bool classify(std::span<const double> features,

@@ -96,15 +96,21 @@ std::uint64_t Rng::poisson(double lambda) {
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  std::vector<std::size_t> idx;
+  sample_without_replacement(n, k, idx);
+  return idx;
+}
+
+void Rng::sample_without_replacement(std::size_t n, std::size_t k,
+                                     std::vector<std::size_t>& out) {
+  out.resize(n);
+  std::iota(out.begin(), out.end(), std::size_t{0});
   // Partial Fisher-Yates: the first k slots become the sample.
   for (std::size_t i = 0; i < k && i + 1 < n; ++i) {
     const std::size_t j = i + uniform_int(n - i);
-    std::swap(idx[i], idx[j]);
+    std::swap(out[i], out[j]);
   }
-  idx.resize(k < n ? k : n);
-  return idx;
+  out.resize(k < n ? k : n);
 }
 
 Rng Rng::split() {

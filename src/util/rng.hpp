@@ -45,6 +45,11 @@ class Rng {
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
 
+  // The same sample, drawn with the same draws, into `out` (resized to
+  // min(k, n)); reusing one `out` allocates only the first time.
+  void sample_without_replacement(std::size_t n, std::size_t k,
+                                  std::vector<std::size_t>& out);
+
   // Derives an independent child generator; useful to give each
   // subcomponent its own stream.
   Rng split();

@@ -246,8 +246,8 @@ TEST_F(ForestEquivalenceTest, TrainedForestAndPredictionsBitIdentical) {
 }
 
 TEST_F(ForestEquivalenceTest, BinnedDatasetEdgesAndCodesBitIdentical) {
-  // BinnedDataset bins one column per task; the whole dataset, warm-up
-  // rows included.
+  // BinnedDataset bins a block of columns per task; the whole dataset,
+  // warm-up rows included.
   const ml::Dataset& data = data_->dataset;
   struct Binned {
     std::vector<std::uint64_t> edges;  // per feature: bin count, then edges

@@ -113,7 +113,9 @@ TEST(DirtyData, ForestSurvivesContaminatedFeatureColumns) {
   std::vector<std::uint8_t> labels(n);
   std::vector<std::string> names;
   for (std::size_t f = 0; f < 10; ++f) {
-    names.push_back("f" + std::to_string(f));
+    std::string name = "f";
+    name += std::to_string(f);
+    names.push_back(std::move(name));
   }
   for (std::size_t i = 0; i < n; ++i) {
     const bool anomaly = rng.uniform() < 0.1;

@@ -33,7 +33,8 @@ int usage() {
       "                       (default keys: extraction_us_per_point,\n"
       "                       classification_us_per_point,\n"
       "                       training_ms_per_round, five_fold_cthld_ms,\n"
-      "                       binning_ms_per_round;\n"
+      "                       binning_ms_per_round,\n"
+      "                       tree_growth_ms_per_round;\n"
       "                       a dotted key such as fleet.us_per_point is\n"
       "                       an absolute path into the bench envelope)\n"
       "  --only               gate only the --metric keys, dropping the\n"

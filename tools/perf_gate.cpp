@@ -89,7 +89,8 @@ std::vector<MetricSpec> default_metrics(double tolerance) {
           {"classification_us_per_point", tolerance},
           {"training_ms_per_round", tolerance},
           {"five_fold_cthld_ms", tolerance},
-          {"binning_ms_per_round", tolerance}};
+          {"binning_ms_per_round", tolerance},
+          {"tree_growth_ms_per_round", tolerance}};
 }
 
 GateResult run_gate(const util::json::Value& baseline,

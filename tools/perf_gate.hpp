@@ -38,7 +38,9 @@ struct MetricSpec {
   double tolerance = 0.25;
 };
 
-// The default gate set: the four §5.8 cost metrics.
+// The default gate set: the §5.8 cost metrics (extraction,
+// classification, training, five-fold cThld) and the two retrain
+// components, binning and tree growth.
 std::vector<MetricSpec> default_metrics(double tolerance);
 
 struct MetricResult {
